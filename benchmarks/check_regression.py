@@ -17,7 +17,7 @@ are host independent by construction, e.g.::
 
     python benchmarks/check_regression.py BENCH_E18.json \
         --baseline benchmarks/BENCH_E18.baseline.json \
-        --min cluster_speedup_w4=2.0
+        --min cluster_speedup=2.0
 
 Exit status is the CI contract: 0 clean, 1 regressed, 2 unusable input.
 """

@@ -77,9 +77,9 @@ class PlanCache:
         self._c_misses = cell("misses")
         self._c_invalidations = cell("invalidations")
         self._c_uncacheable = cell("uncacheable")
-        # The parallel executor's thread pool may run queries from several
-        # worker threads at once; the lock keeps counter totals and FIFO
-        # bookkeeping exact (completion order may vary, counts may not).
+        # Lookups from several threads at once must not corrupt counter
+        # totals or FIFO bookkeeping (completion order may vary, counts
+        # may not).
         self._lock = threading.Lock()
 
     # -- counter facade (attribute API preserved) ----------------------------

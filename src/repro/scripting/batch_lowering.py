@@ -317,18 +317,6 @@ class LoweredProgram:
                     return False
         return True
 
-    # -- component census (the parallel scheduler's inference input) ---------
-
-    def read_components(self) -> frozenset[str]:
-        """Components any loop reads (drives its query or gathers from)."""
-        return frozenset(loop.component for loop in self.loops)
-
-    def write_components(self) -> frozenset[str]:
-        """Components any loop writes back to."""
-        return frozenset(
-            loop.component for loop in self.loops if loop.write_fields
-        )
-
     # -- execution -----------------------------------------------------------
 
     def execute(self, world: Any, env: Mapping[str, Any]) -> bool:
@@ -354,9 +342,8 @@ class LoweredProgram:
         Returns ``None`` when validation or any loop's compute fails (the
         scalar interpreter should run instead), else the per-loop
         ``(component, ids, written_columns)`` list for
-        :meth:`apply_computed`.  This split is what lets the parallel
-        executor run the compute phase off-thread and merge the writes in
-        canonical order on the main thread.
+        :meth:`apply_computed`.  Computing every loop before applying
+        any write is what keeps the scalar fallback atomic.
         """
         if not self._validate(world):
             return None
