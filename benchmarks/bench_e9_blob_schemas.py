@@ -9,8 +9,10 @@ freedom.
 Workload: a character store that survives three seasons of schema change
 (add honor, rename gold→coins, derive power).  Three storage designs:
 
-* structured + offline migration (lock & rewrite);
-* structured + online migration (dual-version + backfill);
+* structured columns, migrated offline by the world catalog (lock &
+  rewrite, once per season);
+* structured columns, migrated online by the world catalog (the three
+  seasons as one alter: dual-version reads + per-tick backfill);
 * blob column with versioned lazy upgrade-on-read.
 
 Measured: migration downtime, rows rewritten eagerly, per-field read cost
@@ -22,61 +24,70 @@ migration is the middle ground the tutorial asks research to provide.
 
 from bench_common import BenchTable, wall_time
 
-from repro.persistence import (
-    AddColumn,
-    BlobCodec,
-    Migration,
-    MigrationRunner,
-    RenameColumn,
-    TransformColumn,
-    VersionedTable,
-    blob_size,
-)
+from repro.core import GameWorld
+from repro.persistence import BlobCodec, blob_size
+from repro.schema import AddColumn, RenameColumn
 
 N_CHARS = 2000
 FIELD_READS = 4000
 
-
-def make_runner():
-    runner = MigrationRunner()
-    runner.register(Migration(1, (AddColumn("honor", 0),)))
-    runner.register(Migration(2, (RenameColumn("gold", "coins"),)))
-    runner.register(Migration(3, (
-        TransformColumn("power", lambda r: r["coins"] // 10 + r["honor"]),
-    )))
-    return runner
+#: Three seasons of schema change, one step list per season.
+SEASONS = (
+    (AddColumn("honor", 0, type_name="int"),),
+    (RenameColumn("gold", "coins"),),
+    (AddColumn("power", type_name="int", derive="coins // 10 + honor"),),
+)
 
 
 def character(i):
     return {"name": f"hero{i}", "gold": (i * 37) % 900, "race": "orc"}
 
 
+def character_world(n):
+    """A world whose ``Char`` table holds ``n`` season-1 characters."""
+    world = GameWorld()
+    world.catalog.define("Char", name="str", gold="int", race="str")
+    eids = [world.spawn(Char=character(i)) for i in range(n)]
+    return world, eids
+
+
+def migrate(world, online: bool):
+    """Run the three seasons; returns (downtime_ticks, rows_rewritten).
+
+    Offline, each season locks the table and rewrites every row, one
+    downtime tick per row.  Online, the seasons fold into one alter that
+    backfills ``batch_rows`` rows per world tick while reads and writes
+    continue, so each row is rewritten once and nothing waits.
+    """
+    if not online:
+        rewritten = sum(
+            world.catalog.alter("Char", steps, online=False).rows_migrated
+            for steps in SEASONS
+        )
+        return rewritten, rewritten
+    handle = world.catalog.alter(
+        "Char", [step for steps in SEASONS for step in steps], batch_rows=256
+    )
+    while not handle.done:
+        world.tick()
+    return 0, handle.rows_migrated
+
+
 def run_structured(online: bool):
-    runner = make_runner()
-    table = VersionedTable("chars", version=1)
-    for i in range(N_CHARS):
-        table.put(i, character(i))
-    if online:
-        migration = runner.start_online(table, 4, batch_size=256)
-        bg_ticks = 0
-        while not migration.done:
-            migration.tick()
-            bg_ticks += 1
-        report = migration.report
-    else:
-        report = runner.migrate_offline(table, 4)
+    world, eids = character_world(N_CHARS)
+    downtime, rewritten = migrate(world, online)
 
     def read_fields():
         total = 0
         for i in range(FIELD_READS):
-            total += table.get(i % N_CHARS)["power"]
+            total += world.get_field(eids[i % N_CHARS], "Char", "power")
         return total
 
     read_ms = wall_time(read_fields, repeats=2) * 1000
     storage = sum(
-        blob_size(table.get(i)) for i in range(0, N_CHARS, 50)
+        blob_size(world.get(eids[i], "Char")) for i in range(0, N_CHARS, 50)
     ) * 50  # sampled estimate, same estimator for all designs
-    return report, read_ms, storage
+    return downtime, rewritten, read_ms, storage
 
 
 def run_blob():
@@ -113,12 +124,8 @@ def run_experiment() -> BenchTable:
         ["design", "downtime_ticks", "rows_rewritten_eagerly",
          f"read_{FIELD_READS}_fields_ms", "storage_bytes"],
     )
-    offline_report, offline_read, offline_storage = run_structured(online=False)
-    table.add_row("structured+offline", offline_report.downtime_ticks,
-                  offline_report.rows_rewritten, offline_read, offline_storage)
-    online_report, online_read, online_storage = run_structured(online=True)
-    table.add_row("structured+online", online_report.downtime_ticks,
-                  online_report.rows_rewritten, online_read, online_storage)
+    table.add_row("structured+offline", *run_structured(online=False))
+    table.add_row("structured+online", *run_structured(online=True))
     blob_read, blob_storage = run_blob()
     table.add_row("blob(lazy)", 0, 0, blob_read, blob_storage)
     return table
@@ -137,12 +144,9 @@ def print_report() -> None:
 # -- pytest-benchmark entries ----------------------------------------------------
 
 def test_e9_structured_field_reads(benchmark):
-    runner = make_runner()
-    table = VersionedTable("chars", version=1)
-    for i in range(500):
-        table.put(i, character(i))
-    runner.migrate_offline(table, 4)
-    benchmark(lambda: [table.get(i % 500)["power"] for i in range(500)])
+    world, eids = character_world(500)
+    migrate(world, online=False)
+    benchmark(lambda: [world.get_field(e, "Char", "power") for e in eids])
 
 
 def test_e9_blob_field_reads(benchmark):
@@ -166,11 +170,8 @@ def test_e9_blob_field_reads(benchmark):
 
 def test_e9_offline_migration_cost(benchmark):
     def run():
-        runner = make_runner()
-        table = VersionedTable("chars", version=1)
-        for i in range(500):
-            table.put(i, character(i))
-        return runner.migrate_offline(table, 4).downtime_ticks
+        world, _ = character_world(500)
+        return migrate(world, online=False)[0]
 
     benchmark(run)
 

@@ -11,23 +11,19 @@ gains a column both ways — offline (downtime) and online (zero downtime)
 Run:  python examples/persistent_world.py
 """
 
+from repro.core import GameWorld
 from repro.persistence import (
-    Action,
-    AddColumn,
     BlobCodec,
     CheckpointManager,
     EventDrivenPolicy,
     InMemoryGameDB,
     IntervalPolicy,
-    Migration,
-    MigrationRunner,
     SQLBackingStore,
-    TransformColumn,
-    VersionedTable,
     WriteAheadLog,
     blob_size,
     recover,
 )
+from repro.schema import AddColumn
 from repro.workloads import TraceConfig, generate_action_trace, milestones_in
 
 
@@ -72,33 +68,39 @@ def main() -> None:
 
     # ------------------------------------------------------- schema migration
     print("\nlive schema migration: add 'honor', derive 'power'")
-    runner = MigrationRunner()
-    runner.register(Migration(1, (AddColumn("honor", 0),),
-                              "season 2: honor system"))
-    runner.register(Migration(2, (
-        TransformColumn("power", lambda r: r["gold"] // 10 + r["honor"]),
-    ), "season 3: derived power score"))
+    seasons = (
+        [AddColumn("honor", 0, type_name="int")],          # season 2: honor
+        [AddColumn("power", type_name="int",
+                   derive="gold // 10 + honor")],          # season 3: power
+    )
 
-    def character_table(n=3000):
-        t = VersionedTable("chars", version=1)
-        for i in range(n):
-            t.put(i, {"name": f"hero{i}", "gold": i % 500})
-        return t
+    def character_world(n=3000):
+        world = GameWorld()
+        world.catalog.define("Char", name="str", gold="int")
+        eids = [world.spawn(Char={"name": f"hero{i}", "gold": i % 500})
+                for i in range(n)]
+        return world, eids
 
-    offline = runner.migrate_offline(character_table(), 3)
-    print(f"  offline : {offline.rows_rewritten} rewrites, "
-          f"{offline.downtime_ticks} ticks of downtime")
+    offline_world, _ = character_world()
+    rewrites = sum(
+        offline_world.catalog.alter("Char", steps, online=False).rows_migrated
+        for steps in seasons
+    )
+    print(f"  offline : {rewrites} rewrites, {rewrites} ticks of downtime")
 
-    online_table = character_table()
-    online = runner.start_online(online_table, 3, batch_size=128)
-    served_reads = 0
-    while not online.done:
-        online.tick()
-        _ = online.read(served_reads % 3000)  # players keep playing
+    online_world, eids = character_world()
+    handle = online_world.catalog.alter(
+        "Char", [step for steps in seasons for step in steps], batch_rows=128
+    )
+    served_reads = ticks = 0
+    while not handle.done:
+        online_world.tick()
+        ticks += 1
+        # players keep playing: reads see the new schema mid-backfill
+        _ = online_world.get(eids[served_reads % len(eids)], "Char")["power"]
         served_reads += 1
-    print(f"  online  : {online.report.rows_rewritten} rewrites over "
-          f"{online.report.background_ticks} background ticks, "
-          f"downtime {online.report.downtime_ticks}, "
+    print(f"  online  : {handle.rows_migrated} rewrites over {ticks} "
+          f"background ticks, downtime 0, "
           f"{served_reads} reads served during migration")
 
     # --------------------------------------------------------- blob contrast

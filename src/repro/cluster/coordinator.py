@@ -526,8 +526,7 @@ class ClusterCoordinator:
     ) -> int:
         """Roll a schema alter across every shard; returns the target version.
 
-        The coordinator serialises the steps (callable
-        ``TransformColumn`` steps are rejected — a rollout must be
+        The coordinator serialises the steps (a rollout must be
         replayable from records), broadcasts a
         :class:`~repro.net.protocol.SchemaAlter` to all shards, and
         tracks acks.  Each shard begins its own incremental backfill on

@@ -167,35 +167,3 @@ class ReplicatedField:
                     self.stats.divergence_samples.append(
                         abs(self.primary - replica)
                     )
-
-
-class ConsistencyPolicy:
-    """Maps field names to tiers; builds replicated fields accordingly.
-
-    The designer-facing configuration: "hp is STRONG, position is COARSE,
-    cape colour is EVENTUAL".
-    """
-
-    def __init__(self, default: ConsistencyLevel = ConsistencyLevel.STRONG):
-        self.default = default
-        self._levels: dict[str, ConsistencyLevel] = {}
-
-    def set_level(self, field_name: str, level: ConsistencyLevel) -> None:
-        """Assign a tier to a field name."""
-        self._levels[field_name] = level
-
-    def level_of(self, field_name: str) -> ConsistencyLevel:
-        """Tier for a field (default when unset)."""
-        return self._levels.get(field_name, self.default)
-
-    def build_field(
-        self, field_name: str, replicas: int, initial: Any = 0.0, **kwargs: Any
-    ) -> ReplicatedField:
-        """Construct a :class:`ReplicatedField` under this policy."""
-        return ReplicatedField(
-            field_name,
-            self.level_of(field_name),
-            replicas,
-            initial=initial,
-            **kwargs,
-        )

@@ -569,7 +569,7 @@ class ComponentTable:
     def begin_alter(self, new_schema: ComponentSchema, steps: tuple) -> frozenset[str]:
         """Switch the logical schema to ``new_schema`` and start backfill.
 
-        Old columns that alters drop, retype, transform, or split away
+        Old columns that alters drop, retype, or split away
         are moved aside (retained) for dual-version reads; new/changed
         columns are created placeholder-filled.  Renames move the column
         instantly — no backfill.  Every existing row starts unmigrated;
@@ -582,7 +582,6 @@ class ComponentTable:
             RenameColumn,
             RetypeColumn,
             SplitColumn,
-            TransformColumn,
             affected_fields,
             placeholder_for,
         )
@@ -621,8 +620,6 @@ class ComponentTable:
             elif isinstance(step, RetypeColumn):
                 _retain(step.name)
                 _new_col(step.name)
-            elif isinstance(step, TransformColumn):
-                _retain(step.name)
             elif isinstance(step, SplitColumn):
                 if step.drop_source:
                     _retain(step.source)

@@ -185,10 +185,6 @@ class RecoveryError(PersistenceError):
     """Crash recovery could not reconstruct a consistent state."""
 
 
-class MigrationError(PersistenceError):
-    """A schema migration is invalid or cannot be applied."""
-
-
 class SQLError(PersistenceError):
     """The miniature SQL engine rejected a statement."""
 

@@ -74,8 +74,8 @@ class EntityExit:
 class InputCommand:
     """Client -> server: one player input.
 
-    ``seq`` lets the client reconcile its prediction when the
-    authoritative result comes back.
+    ``seq`` lets the client match the authoritative result (an
+    :class:`InputAck`) to the input that caused it.
     """
 
     client: str

@@ -1,5 +1,9 @@
 """Persistence tier: WAL, in-memory DB, checkpoint policies, recovery,
-blob codecs, schema migrations, and the mini-SQL backing store."""
+blob codecs, and the mini-SQL backing store.
+
+Schema migration of structured rows lives in :mod:`repro.schema`
+(``world.catalog``); the blob codec here is its lazy-upgrade
+alternative (experiment E9)."""
 
 from repro.persistence.blob import (
     BlobCodec,
@@ -23,17 +27,6 @@ from repro.persistence.pages import (
     PagedBackingStore,
     PagedRecordStore,
     Pager,
-)
-from repro.persistence.migration import (
-    AddColumn,
-    DropColumn,
-    Migration,
-    MigrationReport,
-    MigrationRunner,
-    OnlineMigration,
-    RenameColumn,
-    TransformColumn,
-    VersionedTable,
 )
 from repro.persistence.recovery import RecoveryReport, recover, verify_recovery
 from repro.persistence.sqlbridge import MiniSQL, SQLBackingStore
@@ -59,15 +52,6 @@ __all__ = [
     "PagedBackingStore",
     "PagedRecordStore",
     "Pager",
-    "AddColumn",
-    "DropColumn",
-    "Migration",
-    "MigrationReport",
-    "MigrationRunner",
-    "OnlineMigration",
-    "RenameColumn",
-    "TransformColumn",
-    "VersionedTable",
     "RecoveryReport",
     "recover",
     "verify_recovery",

@@ -1,10 +1,10 @@
 """repro.schema — versioned component schemas with online migration.
 
 The schema plane of the game database: declarative migration steps
-(:mod:`repro.schema.steps`) shared with the persistence layer, and the
-:class:`~repro.schema.catalog.Catalog` façade every world exposes as
-``world.catalog`` — define, alter (with live incremental backfill and
-dual-version reads), describe.
+(:mod:`repro.schema.steps`), the only home of the step vocabulary, and
+the :class:`~repro.schema.catalog.Catalog` façade every world exposes as
+``world.catalog`` — define, alter (offline, or with live incremental
+backfill and dual-version reads), describe.
 """
 
 from repro.schema.steps import (
@@ -14,7 +14,6 @@ from repro.schema.steps import (
     RetypeColumn,
     SplitColumn,
     Step,
-    TransformColumn,
     apply_steps_to_row,
     apply_steps_to_schema,
     steps_from_records,
@@ -33,7 +32,6 @@ __all__ = [
     "RenameColumn",
     "RetypeColumn",
     "SplitColumn",
-    "TransformColumn",
     "Step",
     "apply_steps_to_row",
     "apply_steps_to_schema",

@@ -87,8 +87,8 @@ class _Entry:
         self.schema = schema
         self.version = 1
         #: from-version -> serialized steps of the alter that produced
-        #: from-version + 1 (None for local alters with callables)
-        self.history: dict[int, tuple | None] = {}
+        #: from-version + 1
+        self.history: dict[int, tuple] = {}
         self.active: _ActiveAlter | None = None
         self.last_rows_migrated = 0
 
@@ -233,12 +233,7 @@ class Catalog:
                 for target in step.into:
                     self._check_backfillable(target, None, component)
         new_schema = apply_steps_to_schema(entry.schema, steps)
-        try:
-            records = steps_to_records(steps)
-        except SchemaError:
-            if self._hooks:
-                raise  # replicated worlds must be able to journal the steps
-            records = None
+        records = steps_to_records(steps)
         table = self._world.table(component)
         self._world.index_manager(component).on_schema_alter(
             removed_fields(steps), affected_fields(steps)
@@ -447,7 +442,7 @@ class Catalog:
                     else None
                 ),
                 "history": {
-                    str(v): None if recs is None else list(recs)
+                    str(v): list(recs)
                     for v, recs in entry.history.items()
                 },
             }

@@ -1,28 +1,24 @@
 """Declarative schema-change steps — one migration language for E9 and E22.
 
 A schema change is a list of small declarative steps (add, drop, rename,
-retype, split, transform).  The same step objects drive three executors:
+retype, split).  The same step objects drive two executors:
 
-* :mod:`repro.persistence.migration` rewrites structured persistence
-  tables offline or online (experiment E9);
 * :class:`repro.schema.catalog.Catalog` migrates a *live* ticking
-  :class:`~repro.core.world.GameWorld` with incremental backfill and
-  dual-version reads (experiment E22);
+  :class:`~repro.core.world.GameWorld` offline or with incremental
+  backfill and dual-version reads (experiments E9 and E22);
 * the cluster coordinator broadcasts steps to shards and the
   replication journal replays them on standbys — which is why steps
   (de)serialize to plain records via :func:`steps_to_records`.
 
 Derivations are *string expressions* evaluated over the old row with no
 builtins (``"hp * 2"``, ``"x - y"``): deterministic, side-effect free,
-and safe to put on a wire or in a WAL.  :class:`TransformColumn` keeps
-the E9-era python-callable escape hatch; it works locally but is
-rejected wherever steps must serialize (cluster rollout, replication).
+and safe to put on a wire or in a WAL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.component import FIELD_TYPES, ComponentSchema, FieldDef
 from repro.errors import SchemaError
@@ -77,23 +73,7 @@ class SplitColumn:
     drop_source: bool = True
 
 
-@dataclass(frozen=True)
-class TransformColumn:
-    """Recompute a column from the whole row: ``fn(row) -> value``.
-
-    The callable escape hatch — usable on a single world or an E9
-    persistence table, but not serializable: cluster rollouts and
-    replicated worlds reject it (see :func:`steps_to_records`).
-    """
-
-    name: str
-    fn: Callable[[Mapping[str, Any]], Any]
-
-
-Step = (
-    AddColumn | DropColumn | RenameColumn | RetypeColumn | SplitColumn
-    | TransformColumn
-)
+Step = AddColumn | DropColumn | RenameColumn | RetypeColumn | SplitColumn
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +163,6 @@ def apply_step_to_row(step: Step, row: dict[str, Any]) -> dict[str, Any]:
             row[target] = eval_expr(expr, source_row)
         if step.drop_source:
             row.pop(step.source, None)
-    elif isinstance(step, TransformColumn):
-        row[step.name] = step.fn(dict(row))
     else:
         raise SchemaError(f"unknown migration step {step!r}")
     return row
@@ -283,11 +261,6 @@ def apply_steps_to_schema(
                 _add(target, type_name, None, False)
             if step.drop_source:
                 del fields[step.source]
-        elif isinstance(step, TransformColumn):
-            if step.name not in fields:
-                raise SchemaError(
-                    f"component {schema.name!r} has no field {step.name!r}"
-                )
         else:
             raise SchemaError(f"unknown migration step {step!r}")
     return ComponentSchema(schema.name, fields.values())
@@ -297,9 +270,7 @@ def affected_fields(steps: Iterable[Step]) -> frozenset[str]:
     """Fields whose *target-schema* values require backfill computation."""
     out: set[str] = set()
     for step in steps:
-        if isinstance(step, AddColumn):
-            out.add(step.name)
-        elif isinstance(step, (RetypeColumn, TransformColumn)):
+        if isinstance(step, (AddColumn, RetypeColumn)):
             out.add(step.name)
         elif isinstance(step, SplitColumn):
             out.update(step.into)
@@ -325,7 +296,7 @@ def removed_fields(steps: Iterable[Step]) -> frozenset[str]:
 
 
 def step_to_record(step: Step) -> dict[str, Any]:
-    """One step as a plain record (raises for non-serializable steps)."""
+    """One step as a plain record (raises for unknown step types)."""
     if isinstance(step, AddColumn):
         return {
             "op": "add", "name": step.name, "default": step.default,
@@ -344,11 +315,6 @@ def step_to_record(step: Step) -> dict[str, Any]:
             "exprs": list(step.exprs), "types": list(_split_types(step)),
             "drop_source": step.drop_source,
         }
-    if isinstance(step, TransformColumn):
-        raise SchemaError(
-            f"TransformColumn({step.name!r}) carries a python callable and "
-            "cannot be serialized; use a derivation expression instead"
-        )
     raise SchemaError(f"unknown migration step {step!r}")
 
 

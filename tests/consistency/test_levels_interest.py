@@ -4,7 +4,6 @@ import pytest
 
 from repro.consistency import (
     ConsistencyLevel,
-    ConsistencyPolicy,
     InterestManager,
     ReplicatedField,
     UPDATE_BYTES,
@@ -103,19 +102,6 @@ class TestEventualTier:
 
 
 class TestPolicy:
-    def test_level_mapping(self):
-        policy = ConsistencyPolicy(default=ConsistencyLevel.EVENTUAL)
-        policy.set_level("hp", ConsistencyLevel.STRONG)
-        assert policy.level_of("hp") == ConsistencyLevel.STRONG
-        assert policy.level_of("cape") == ConsistencyLevel.EVENTUAL
-
-    def test_build_field_applies_policy(self):
-        policy = ConsistencyPolicy()
-        policy.set_level("x", ConsistencyLevel.COARSE)
-        f = policy.build_field("x", replicas=2, quantum=0.25)
-        assert f.level == ConsistencyLevel.COARSE
-        assert f.quantum == 0.25
-
     def test_replicas_required(self):
         with pytest.raises(NetError):
             ReplicatedField("x", ConsistencyLevel.STRONG, replicas=0)

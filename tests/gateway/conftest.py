@@ -6,6 +6,7 @@ a tiny world with the repro Position/Velocity idiom.
 
 from repro.core import GameWorld, schema
 from repro.gateway import (
+    Delta,
     FrameDecoder,
     GatewayConfig,
     GatewayCore,
@@ -14,6 +15,7 @@ from repro.gateway import (
     WorldView,
     frame,
 )
+from repro.net.protocol import InputAck
 
 
 class FakeClock:
@@ -65,6 +67,10 @@ class TestClient:
         self.decoder = FrameDecoder()
         self.cid = core.connect(self.transport)
         self.hello_kwargs = hello_kwargs
+        #: entity id -> fields, as this client's deltas have built it
+        self.replica = {}
+        #: every InputAck this client has decoded via :meth:`sync`
+        self.acks = []
 
     def hello(self, **overrides):
         kwargs = {**self.hello_kwargs, **overrides}
@@ -77,3 +83,16 @@ class TestClient:
     def drain(self, budget=None):
         """Read the transport like a client; returns decoded messages."""
         return self.decoder.feed(self.transport.drain(budget))
+
+    def sync(self, budget=None):
+        """Like :meth:`drain`; folds deltas into ``replica`` and keeps acks."""
+        messages = self.drain(budget)
+        for msg in messages:
+            if isinstance(msg, InputAck):
+                self.acks.append(msg)
+            elif isinstance(msg, Delta):
+                for eid, fields in msg.enters + msg.updates:
+                    self.replica.setdefault(eid, {}).update(fields)
+                for eid in msg.exits:
+                    self.replica.pop(eid, None)
+        return messages

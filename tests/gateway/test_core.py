@@ -149,6 +149,22 @@ class TestStreaming:
         (delta,) = client.drain()
         assert delta.exits == (e2,)
 
+    def test_far_mover_never_entered_or_updated(self):
+        world, core, e1, e2 = make_pair()
+        far = spawn(world, 500.0, 0.0)
+        client = TestClient(core, "alice", avatar=e1)
+        client.hello()
+        for t in range(10):
+            world.set(far, "Position", x=500.0 + t, y=float(t))
+            world.tick()
+            core.tick()
+            for delta in client.drain():
+                assert far not in dict(delta.enters)
+                assert far not in dict(delta.updates)
+                assert far not in delta.exits
+        session = next(iter(core.sessions.sessions.values()))
+        assert session.stream.known == {e2}
+
     def test_ping_answered_immediately(self):
         world, core, e1, _ = make_pair()
         client = TestClient(core, "alice", avatar=e1)

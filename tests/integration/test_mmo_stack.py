@@ -5,9 +5,6 @@ replication of simulated worlds, transactions over game state."""
 from repro.consistency import (
     BubbleTimeline,
     CausalityBubblePartitioner,
-    ConsistencyLevel,
-    ConsistencyPolicy,
-    InterestManager,
     StaticGridPartitioner,
     TxnSpec,
     VersionedStore,
@@ -15,10 +12,11 @@ from repro.consistency import (
     read_for_update,
     write,
 )
-from repro.core import GameWorld, schema
-from repro.net import LinkConfig, ReplicationClient, ReplicationServer, SimNetwork
+from repro.gateway import GatewayConfig
 from repro.spatial import AABB, grid_join
 from repro.workloads import OrbitalModel, RandomWaypoint
+
+from tests.gateway.conftest import TestClient, make_core, make_world
 
 BOUNDS = AABB(0, 0, 600, 600)
 
@@ -62,58 +60,42 @@ class TestBubblesOverMovingWorkload:
 
 class TestReplicatedSimulatedWorld:
     def test_two_clients_converge_on_coarse_positions(self):
-        world = GameWorld()
-        world.catalog.define(schema("Position", x="float", y="float"))
-        net = SimNetwork(seed=1)
-        net.connect("server", "c1", LinkConfig(latency_ticks=1))
-        net.connect("server", "c2", LinkConfig(latency_ticks=2))
-        policy = ConsistencyPolicy()
-        policy.set_level("x", ConsistencyLevel.COARSE)
-        policy.set_level("y", ConsistencyLevel.COARSE)
-        server = ReplicationServer(
-            world, net, policy, coarse_interval=2, quantum=0.5
-        )
+        world = make_world()
+        config = GatewayConfig()
+        core = make_core(world, config)
         a1 = world.spawn(Position={"x": 0.0, "y": 0.0})
         a2 = world.spawn(Position={"x": 10.0, "y": 0.0})
         mover = world.spawn(Position={"x": 5.0, "y": 5.0})
-        server.register_client("c1", a1)
-        server.register_client("c2", a2)
-        c1 = ReplicationClient("c1", net, avatar=a1)
-        c2 = ReplicationClient("c2", net, avatar=a2)
+        c1 = TestClient(core, "c1", avatar=a1, aoi_radius=100.0)
+        c2 = TestClient(core, "c2", avatar=a2, aoi_radius=100.0)
+        c1.hello()
+        c2.hello()
         model = RandomWaypoint(AABB(0, 0, 50, 50), 1, seed=4)
         for _t in range(40):
             mx, my = model.positions()[0]
             world.set(mover, "Position", x=mx, y=my)
             model.step(0.3)
-            server.tick()
-            net.advance()
-            c1.tick()
-            c2.tick()
-        # let in-flight updates drain
-        for _ in range(5):
-            server.tick()
-            net.advance()
-            c1.tick()
-            c2.tick()
-        # both replicas agree with the quantised server value
+            world.tick()
+            core.tick()
+            c1.sync()
+            c2.sync()
+        # dead-reckoning suppression keeps each replica within the
+        # threshold of the authoritative position, never further
         truth = world.get(mover, "Position")
         for client in (c1, c2):
-            assert abs(client.field_of(mover, "x") - truth["x"]) <= 0.5
-            assert abs(client.field_of(mover, "y") - truth["y"]) <= 0.5
-        assert c1.field_of(mover, "x") == c2.field_of(mover, "x")
+            assert abs(client.replica[mover]["x"] - truth["x"]) <= config.dr_threshold
+            assert abs(client.replica[mover]["y"] - truth["y"]) <= config.dr_threshold
+        assert c1.replica[mover] == c2.replica[mover]
 
     def test_interest_scoped_bandwidth(self):
         def run(radius):
-            world = GameWorld()
-            world.catalog.define(schema("Position", x="float", y="float"))
-            net = SimNetwork(seed=2)
-            net.connect("server", "c1", LinkConfig(latency_ticks=1))
-            policy = ConsistencyPolicy(default=ConsistencyLevel.STRONG)
-            interest = InterestManager(radius=radius) if radius else None
-            server = ReplicationServer(world, net, policy, interest)
+            world = make_world()
+            core = make_core(
+                world, GatewayConfig(default_radius=radius, max_radius=radius)
+            )
             avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-            server.register_client("c1", avatar)
-            client = ReplicationClient("c1", net, avatar=avatar)
+            client = TestClient(core, "c1", avatar=avatar)
+            client.hello()
             movers = [
                 world.spawn(Position={"x": 100.0 + i, "y": 100.0})
                 for i in range(20)
@@ -121,13 +103,14 @@ class TestReplicatedSimulatedWorld:
             for t in range(20):
                 for m in movers:
                     world.set(m, "Position", y=100.0 + t)
-                server.tick()
-                net.advance()
-                client.tick()
-            return net.total_bytes()
+                world.tick()
+                core.tick()
+                client.drain()
+            assert not core.evictions
+            return core.bytes_sent
 
-        scoped = run(radius=30)
-        unscoped = run(radius=None)
+        scoped = run(radius=30.0)
+        unscoped = run(radius=1000.0)  # covers the whole map
         assert scoped < unscoped / 2
 
 

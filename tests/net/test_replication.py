@@ -1,195 +1,122 @@
-"""End-to-end tests for the replication server/client pair."""
+"""Client replication end to end through the gateway: state updates,
+interest scoping, and authoritative input acks over memory transports."""
 
-import pytest
+from repro.gateway import GatewayConfig, Reject
+from repro.net.protocol import InputAck, InputCommand
 
-from repro.consistency import ConsistencyLevel, ConsistencyPolicy, InterestManager
-from repro.core import GameWorld, schema
-from repro.net import (
-    LinkConfig,
-    ReplicationClient,
-    ReplicationServer,
-    SimNetwork,
-)
+from tests.gateway.conftest import TestClient, make_core, make_world
 
 
-def make_rig(latency=1, interest_radius=None, coarse_interval=2):
-    world = GameWorld()
-    world.catalog.define(schema("Position", x="float", y="float"))
-    net = SimNetwork(seed=0)
-    net.connect("server", "c1", LinkConfig(latency_ticks=latency))
-    policy = ConsistencyPolicy(default=ConsistencyLevel.STRONG)
-    interest = (
-        InterestManager(radius=interest_radius) if interest_radius else None
+def make_rig(radius=16.0, on_input=None):
+    world = make_world()
+    core = make_core(
+        world, GatewayConfig(default_radius=radius), on_input=on_input
     )
-    server = ReplicationServer(
-        world, net, policy, interest, coarse_interval=coarse_interval
-    )
-    return world, net, server
+    return world, core
 
 
-def pump(world, net, server, clients, ticks=1):
+def connect(core, world, name="c1", x=0.0, y=0.0):
+    avatar = world.spawn(Position={"x": x, "y": y})
+    client = TestClient(core, name, avatar=avatar)
+    client.hello()
+    return client, avatar
+
+
+def pump(world, core, clients, ticks=1):
     for _ in range(ticks):
-        server.tick()
-        net.advance()
+        world.tick()
+        core.tick()
         for c in clients:
-            c.tick()
+            c.sync()
 
 
 class TestStateReplication:
     def test_strong_update_reaches_client(self):
-        world, net, server = make_rig()
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core = make_rig()
         other = world.spawn(Position={"x": 5.0, "y": 5.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
+        client, _ = connect(core, world)
+        pump(world, core, [client])
         world.set(other, "Position", x=7.0)
-        pump(world, net, server, [client], ticks=3)
-        assert client.field_of(other, "x") == 7.0
-
-    def test_coarse_tier_quantises(self):
-        world = GameWorld()
-        world.catalog.define(schema("Position", x="float", y="float"))
-        net = SimNetwork()
-        net.connect("server", "c1", LinkConfig(latency_ticks=1))
-        policy = ConsistencyPolicy()
-        policy.set_level("x", ConsistencyLevel.COARSE)
-        policy.set_level("y", ConsistencyLevel.COARSE)
-        server = ReplicationServer(
-            world, net, policy, coarse_interval=1, quantum=1.0
-        )
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        mover = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        world.set(mover, "Position", x=3.4)
-        pump(world, net, server, [client], ticks=3)
-        assert client.field_of(mover, "x") == 3.0
-
-    def test_coarse_tier_saves_bandwidth(self):
-        results = {}
-        for interval in (1, 10):
-            world = GameWorld()
-            world.catalog.define(schema("Position", x="float", y="float"))
-            net = SimNetwork()
-            net.connect("server", "c1", LinkConfig(latency_ticks=1))
-            policy = ConsistencyPolicy()
-            policy.set_level("x", ConsistencyLevel.COARSE)
-            policy.set_level("y", ConsistencyLevel.COARSE)
-            server = ReplicationServer(world, net, policy, coarse_interval=interval)
-            avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-            mover = world.spawn(Position={"x": 0.0, "y": 0.0})
-            server.register_client("c1", avatar)
-            client = ReplicationClient("c1", net, avatar=avatar)
-            for t in range(40):
-                world.set(mover, "Position", x=float(t))
-                pump(world, net, server, [client])
-            results[interval] = net.total_bytes()
-        assert results[10] < results[1]
+        pump(world, core, [client])
+        assert client.replica[other]["x"] == 7.0
 
     def test_duplicate_client_rejected(self):
-        world, net, server = make_rig()
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        from repro.errors import NetError
-
-        with pytest.raises(NetError):
-            server.register_client("c1", avatar)
+        world, core = make_rig()
+        _, avatar = connect(core, world)
+        twin = TestClient(core, "c1", avatar=avatar)
+        (reply,) = twin.hello()
+        assert isinstance(reply, Reject)
+        assert "already connected" in reply.reason
 
 
 class TestInterestScoping:
     def test_far_entity_invisible(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core = make_rig(radius=20.0)
         near = world.spawn(Position={"x": 5.0, "y": 0.0})
         far = world.spawn(Position={"x": 500.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=3)
-        assert near in client.known_entities()
-        assert far not in client.known_entities()
+        client, _ = connect(core, world)
+        pump(world, core, [client], ticks=3)
+        assert near in client.replica
+        assert far not in client.replica
 
     def test_enter_exit_lifecycle(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
+        world, core = make_rig(radius=20.0)
         walker = world.spawn(Position={"x": 100.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=2)
-        assert walker not in client.known_entities()
+        client, _ = connect(core, world)
+        pump(world, core, [client], ticks=2)
+        assert walker not in client.replica
         world.set(walker, "Position", x=10.0)
-        pump(world, net, server, [client], ticks=3)
-        assert walker in client.known_entities()
-        assert client.stats.enters >= 1
+        pump(world, core, [client])
+        assert client.replica[walker]["x"] == 10.0
         world.set(walker, "Position", x=300.0)
-        pump(world, net, server, [client], ticks=3)
-        assert walker not in client.known_entities()
-        assert client.stats.exits >= 1
+        pump(world, core, [client])
+        assert walker not in client.replica
 
     def test_updates_not_sent_to_uninterested(self):
-        world, net, server = make_rig(interest_radius=20)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        far = world.spawn(Position={"x": 500.0, "y": 0.0})
-        server.register_client("c1", avatar)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        pump(world, net, server, [client], ticks=2)
-        base_updates = client.stats.updates_applied
-        for t in range(10):
-            world.set(far, "Position", x=500.0 + t)
-            pump(world, net, server, [client])
-        assert client.stats.updates_applied == base_updates
+        world, core = make_rig(radius=20.0)
+        mover = world.spawn(Position={"x": 0.0, "y": 0.0})
+        near, _ = connect(core, world, "near", x=5.0)
+        far, _ = connect(core, world, "far", x=500.0)
+        pump(world, core, [near, far])
+        far_bytes = far.transport.bytes_sent
+        for t in range(1, 11):
+            world.set(mover, "Position", x=float(t))
+            pump(world, core, [near, far])
+        assert near.replica[mover]["x"] == 10.0
+        assert mover not in far.replica
+        assert far.transport.bytes_sent == far_bytes
 
 
 class TestPredictionReconciliation:
-    def _move_rig(self, latency=3):
-        world, net, server = make_rig(latency=latency)
-        avatar = world.spawn(Position={"x": 0.0, "y": 0.0})
-        server.register_client("c1", avatar)
+    """The gateway acks each input with the authoritative result."""
 
-        def handle_move(w, client_name, cmd):
-            eid = server.avatar_of(client_name)
-            pos = w.get(eid, "Position")
-            w.set(eid, "Position",
-                  x=pos["x"] + cmd.args["dx"], y=pos["y"] + cmd.args["dy"])
-            return w.get(eid, "Position")
+    def _move_rig(self):
+        def on_input(session, cmd):
+            if cmd.action != "move":
+                return InputAck(cmd.seq, False, {}, world.clock.tick)
+            pos = world.get(session.avatar, "Position")
+            world.set(session.avatar, "Position",
+                      x=pos["x"] + cmd.args["dx"], y=pos["y"] + cmd.args["dy"])
+            return InputAck(cmd.seq, True, world.get(session.avatar, "Position"),
+                            world.clock.tick)
 
-        server.register_input("move", handle_move)
-        client = ReplicationClient("c1", net, avatar=avatar)
-        client.register_predictor(
-            "move",
-            lambda cur, cmd: {
-                "x": cur.get("x", 0.0) + cmd.args["dx"],
-                "y": cur.get("y", 0.0) + cmd.args["dy"],
-            },
-        )
-        return world, net, server, client, avatar
-
-    def test_prediction_is_instant(self):
-        world, net, server, client, avatar = self._move_rig(latency=5)
-        client.send_input("move", dx=2.0, dy=0.0)
-        # before any round trip the client already shows the move
-        assert client.replica[avatar]["x"] == 2.0
-        assert world.get_field(avatar, "Position", "x") == 0.0
+        world, core = make_rig(on_input=on_input)
+        client, avatar = connect(core, world)
+        return world, core, client, avatar
 
     def test_ack_converges_to_authoritative(self):
-        world, net, server, client, avatar = self._move_rig(latency=2)
-        client.send_input("move", dx=2.0, dy=0.0)
-        pump(world, net, server, [client], ticks=8)
+        world, core, client, avatar = self._move_rig()
+        client.send(InputCommand("c1", 1, "move", {"dx": 2.0, "dy": 0.0}))
+        pump(world, core, [client])
         assert world.get_field(avatar, "Position", "x") == 2.0
+        (ack,) = client.acks
+        assert ack.accepted and ack.authoritative["x"] == 2.0
         assert client.replica[avatar]["x"] == 2.0
-        assert client.stats.reconciliations == 1
-        assert client.stats.mispredictions == 0
-
-    def test_pipelined_inputs_replay(self):
-        world, net, server, client, avatar = self._move_rig(latency=4)
-        for _ in range(3):
-            client.send_input("move", dx=1.0, dy=0.0)
-        assert client.replica[avatar]["x"] == 3.0
-        pump(world, net, server, [client], ticks=15)
-        assert world.get_field(avatar, "Position", "x") == 3.0
-        assert client.replica[avatar]["x"] == 3.0
 
     def test_rejected_input_acked(self):
-        world, net, server, client, avatar = self._move_rig()
-        client.send_input("fly", up=1.0)  # no handler registered
-        pump(world, net, server, [client], ticks=6)
-        assert client.stats.reconciliations >= 0  # no crash; ack consumed
+        world, core, client, avatar = self._move_rig()
+        client.send(InputCommand("c1", 7, "fly", {"up": 1.0}))
+        pump(world, core, [client])
+        (ack,) = client.acks
+        assert (ack.seq, ack.accepted) == (7, False)
+        assert world.get_field(avatar, "Position", "x") == 0.0

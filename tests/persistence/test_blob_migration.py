@@ -1,22 +1,32 @@
-"""Tests for blob codecs and schema migrations."""
+"""Tests for blob codecs, and for the catalog migrations E9 sets
+against them (structured columns, offline and online)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import MigrationError, PersistenceError
+from repro.core import GameWorld
+from repro.errors import PersistenceError, SchemaError, UnknownEntityError
 from repro.persistence import (
-    AddColumn,
     BlobCodec,
-    DropColumn,
-    Migration,
-    MigrationRunner,
-    RenameColumn,
-    TransformColumn,
-    VersionedTable,
     blob_size,
     decode_record,
     encode_record,
 )
+from repro.schema import AddColumn, DropColumn, RenameColumn
+
+
+def char_world(rows, **fields):
+    """A world whose ``Char`` table holds ``rows``; returns (world, eids)."""
+    world = GameWorld()
+    world.catalog.define("Char", **fields)
+    return world, [world.spawn(Char=row) for row in rows]
+
+
+def migrated(row, steps, **fields):
+    """One stored character after an offline alter of ``steps``."""
+    world, (eid,) = char_world([row], **fields)
+    world.catalog.alter("Char", steps, online=False)
+    return world.get(eid, "Char")
 
 
 class TestBlobEncoding:
@@ -130,115 +140,152 @@ def test_blob_roundtrip_property(rec, version):
 
 class TestMigrationSteps:
     def test_add_column(self):
-        m = Migration(1, (AddColumn("honor", 0),))
-        assert m.apply_to_row({"gold": 5}) == {"gold": 5, "honor": 0}
+        row = migrated({"gold": 5}, [AddColumn("honor", 0, type_name="int")],
+                       gold="int")
+        assert row == {"gold": 5, "honor": 0}
 
     def test_add_does_not_clobber(self):
-        m = Migration(1, (AddColumn("honor", 0),))
-        assert m.apply_to_row({"honor": 9}) == {"honor": 9}
+        # a write landing mid-backfill keeps its value; the default only
+        # fills rows the backfill has not reached
+        world, (eid,) = char_world([{"gold": 1}], gold="int")
+        handle = world.catalog.alter(
+            "Char", [AddColumn("honor", 0, type_name="int")], batch_rows=1
+        )
+        world.set(eid, "Char", honor=9)
+        while not handle.done:
+            world.tick()
+        assert world.get(eid, "Char") == {"gold": 1, "honor": 9}
 
     def test_drop_column(self):
-        m = Migration(1, (DropColumn("junk"),))
-        assert m.apply_to_row({"junk": 1, "keep": 2}) == {"keep": 2}
+        row = migrated({"junk": 1, "keep": 2}, [DropColumn("junk")],
+                       junk="int", keep="int")
+        assert row == {"keep": 2}
 
     def test_rename(self):
-        m = Migration(1, (RenameColumn("gold", "coins"),))
-        assert m.apply_to_row({"gold": 7}) == {"coins": 7}
+        row = migrated({"gold": 7}, [RenameColumn("gold", "coins")],
+                       gold="int")
+        assert row == {"coins": 7}
 
     def test_transform_sees_whole_row(self):
-        m = Migration(1, (TransformColumn("total", lambda r: r["a"] + r["b"]),))
-        assert m.apply_to_row({"a": 1, "b": 2}) == {"a": 1, "b": 2, "total": 3}
+        row = migrated(
+            {"a": 1, "b": 2},
+            [AddColumn("total", type_name="int", derive="a + b")],
+            a="int", b="int",
+        )
+        assert row == {"a": 1, "b": 2, "total": 3}
 
     def test_steps_ordered(self):
-        m = Migration(1, (
-            RenameColumn("gold", "coins"),
-            TransformColumn("coins", lambda r: r["coins"] * 2),
-        ))
-        assert m.apply_to_row({"gold": 5}) == {"coins": 10}
+        row = migrated(
+            {"gold": 5},
+            [RenameColumn("gold", "coins"),
+             AddColumn("double", type_name="int", derive="coins * 2")],
+            gold="int",
+        )
+        assert row == {"coins": 5, "double": 10}
 
 
 class TestRunner:
-    @pytest.fixture
-    def runner(self):
-        r = MigrationRunner()
-        r.register(Migration(1, (AddColumn("honor", 0),)))
-        r.register(Migration(2, (RenameColumn("gold", "coins"),)))
-        return r
+    """E9's structured side: two seasons of migration by the catalog."""
+
+    SEASONS = (
+        [AddColumn("honor", 0, type_name="int")],
+        [RenameColumn("gold", "coins")],
+    )
 
     def populate(self, n=50):
-        t = VersionedTable("chars", version=1)
-        for i in range(n):
-            t.put(i, {"name": f"p{i}", "gold": i})
-        return t
+        return char_world(
+            [{"name": f"p{i}", "gold": i} for i in range(n)],
+            name="str", gold="int",
+        )
 
-    def test_chain_validation(self, runner):
-        assert len(runner.chain(1, 3)) == 2
-        with pytest.raises(MigrationError, match="no migration"):
-            runner.chain(3, 5)
-        with pytest.raises(MigrationError, match="downgrade"):
-            runner.chain(3, 1)
+    def offline(self, world):
+        """Both seasons, stop-the-world; returns rows rewritten."""
+        return sum(
+            world.catalog.alter("Char", steps, online=False).rows_migrated
+            for steps in self.SEASONS
+        )
 
-    def test_duplicate_registration(self, runner):
-        with pytest.raises(MigrationError):
-            runner.register(Migration(1, ()))
+    def online(self, world, batch_rows):
+        """Both seasons folded into one online alter."""
+        return world.catalog.alter(
+            "Char", [s for steps in self.SEASONS for s in steps],
+            batch_rows=batch_rows,
+        )
 
-    def test_offline_migrates_everything(self, runner):
-        t = self.populate()
-        report = runner.migrate_offline(t, 3)
-        assert report.rows_rewritten == 100  # 50 rows × 2 versions
-        assert report.downtime_ticks == 100
-        assert t.version == 3
-        assert t.get(7) == {"name": "p7", "coins": 7, "honor": 0}
+    def test_chain_validation(self):
+        world, _ = self.populate()
+        self.offline(world)
+        assert world.catalog.version_of("Char") == 3
+        # a row shipped at v1 replays the recorded chain up to v3
+        lifted = world.catalog.upgrade_payload(
+            "Char", {"name": "p7", "gold": 7}, 1
+        )
+        assert lifted == {"name": "p7", "coins": 7, "honor": 0}
+        with pytest.raises(SchemaError, match="no recorded steps"):
+            world.catalog.upgrade_payload("Char", {"gold": 7}, 0)
 
-    def test_offline_downtime_scales_with_rows(self, runner):
-        small = runner.migrate_offline(self.populate(10), 3)
-        big_runner = MigrationRunner()
-        big_runner.register(Migration(1, (AddColumn("honor", 0),)))
-        big_runner.register(Migration(2, (RenameColumn("gold", "coins"),)))
-        big = big_runner.migrate_offline(self.populate(100), 3)
-        assert big.downtime_ticks == 10 * small.downtime_ticks
+    def test_duplicate_registration(self):
+        # one migration per version: a second alter waits for the first
+        world, _ = self.populate()
+        self.online(world, batch_rows=8)
+        with pytest.raises(SchemaError, match="already has an alter"):
+            world.catalog.alter("Char", self.SEASONS[0])
 
-    def test_online_zero_downtime(self, runner):
-        t = self.populate()
-        online = runner.start_online(t, 3, batch_size=8)
-        assert online.report.downtime_ticks == 0
-        while not online.done:
-            online.tick()
-        assert t.get(3) == {"name": "p3", "coins": 3, "honor": 0}
-        assert online.report.rows_rewritten == 50
+    def test_offline_migrates_everything(self):
+        world, eids = self.populate()
+        assert self.offline(world) == 100  # 50 rows x 2 seasons
+        assert world.catalog.version_of("Char") == 3
+        assert world.get(eids[7], "Char") == {
+            "name": "p7", "coins": 7, "honor": 0,
+        }
 
-    def test_online_read_during_backfill(self, runner):
-        t = self.populate()
-        online = runner.start_online(t, 3, batch_size=4)
-        online.tick()  # only a few rows upgraded
-        # reading an un-backfilled row upgrades it on the spot
-        row = online.read(49)
-        assert row == {"name": "p49", "coins": 49, "honor": 0}
+    def test_offline_downtime_scales_with_rows(self):
+        small = self.offline(self.populate(10)[0])
+        big = self.offline(self.populate(100)[0])
+        assert big == 10 * small
 
-    def test_online_writes_land_at_new_version(self, runner):
-        t = self.populate()
-        online = runner.start_online(t, 3, batch_size=8)
-        t.put(999, {"name": "fresh", "coins": 0, "honor": 0})
-        assert t.row_version(999) == 3
-        while not online.done:
-            online.tick()
-        assert t.get(999)["name"] == "fresh"
+    def test_online_zero_downtime(self):
+        world, eids = self.populate()
+        handle = self.online(world, batch_rows=8)
+        assert not handle.done  # alter returned before any row moved
+        while not handle.done:
+            world.tick()
+        assert world.get(eids[3], "Char") == {
+            "name": "p3", "coins": 3, "honor": 0,
+        }
+        assert handle.rows_migrated == 50  # each row rewritten once
 
-    def test_online_equals_offline_result(self, runner):
-        offline_t = self.populate()
-        runner.migrate_offline(offline_t, 3)
-        online_t = self.populate()
-        online = runner.start_online(online_t, 3, batch_size=7)
-        while not online.done:
-            online.tick()
-        for key in offline_t.keys():
-            assert offline_t.get(key) == online_t.get(key)
+    def test_online_read_during_backfill(self):
+        world, eids = self.populate()
+        handle = self.online(world, batch_rows=4)
+        world.tick()  # only a few rows backfilled
+        assert world.table("Char").unmigrated_count > 0
+        # an un-backfilled row already reads at the target schema
+        assert world.get(eids[49], "Char") == {
+            "name": "p49", "coins": 49, "honor": 0,
+        }
+        assert not handle.done
 
-    def test_bad_batch_size(self, runner):
-        with pytest.raises(MigrationError):
-            runner.start_online(self.populate(), 3, batch_size=0)
+    def test_online_writes_land_at_new_version(self):
+        world, _ = self.populate()
+        handle = self.online(world, batch_rows=8)
+        fresh = world.spawn(Char={"name": "fresh", "coins": 0, "honor": 0})
+        while not handle.done:
+            world.tick()
+        assert world.get(fresh, "Char")["name"] == "fresh"
+        assert handle.rows_migrated == 50  # the fresh row was born migrated
+
+    def test_online_equals_offline_result(self):
+        offline_world, eids = self.populate()
+        self.offline(offline_world)
+        online_world, _ = self.populate()
+        handle = self.online(online_world, batch_rows=7)
+        while not handle.done:
+            online_world.tick()
+        for eid in eids:
+            assert offline_world.get(eid, "Char") == online_world.get(eid, "Char")
 
     def test_missing_row(self):
-        t = VersionedTable("x")
-        with pytest.raises(MigrationError):
-            t.get("nope")
+        world, _ = self.populate(3)
+        with pytest.raises(UnknownEntityError):
+            world.get(999, "Char")

@@ -1,5 +1,5 @@
 """The Catalog façade: define/alter/describe, dual-version reads, plan
-and index invalidation, and the deprecation shim."""
+and index invalidation."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.schema import (
     RenameColumn,
     RetypeColumn,
     SplitColumn,
-    TransformColumn,
 )
 
 
@@ -124,15 +123,6 @@ class TestOnlineAlter:
         with pytest.raises(SchemaError):
             # no default, no derivation, not nullable: nothing to backfill
             world.catalog.alter("Health", [AddColumn("mystery")])
-
-    def test_transform_works_locally(self):
-        world, eids = make_world(3)
-        world.catalog.alter(
-            "Health",
-            [TransformColumn("hp", lambda r: r["hp"] + 100)],
-            online=False,
-        )
-        assert world.get_field(eids[2], "Health", "hp") == 102
 
     def test_offline_matches_online_rows(self):
         online, eids = make_world(8)

@@ -11,8 +11,8 @@ from repro.consistency import (
     read_for_update,
 )
 from repro.core.component import ComponentSchema, FieldDef
-from repro.errors import ClusterError, SchemaError
-from repro.schema import AddColumn, RetypeColumn, TransformColumn
+from repro.errors import ClusterError
+from repro.schema import AddColumn, RetypeColumn
 from repro.spatial import AABB
 
 BOUNDS = AABB(0.0, 0.0, 100.0, 100.0)
@@ -86,10 +86,6 @@ class TestRollout:
             coord.alter("Nope", list(STEPS))
         with pytest.raises(ClusterError):
             coord.alter("Health", [])
-        with pytest.raises(SchemaError):
-            coord.alter(
-                "Health", [TransformColumn("hp", lambda r: r["hp"])]
-            )
         coord.alter("Health", [AddColumn("regen", 0.5)])
         with pytest.raises(ClusterError):
             coord.alter("Health", [AddColumn("other", 1.0)])

@@ -11,7 +11,6 @@ from repro.schema.steps import (
     RenameColumn,
     RetypeColumn,
     SplitColumn,
-    TransformColumn,
     apply_steps_to_row,
     apply_steps_to_schema,
     cast_value,
@@ -88,13 +87,6 @@ class TestRowApplication:
         )
         assert row == {"v": 8, "dbl": 16}
 
-    def test_transform_callable(self):
-        row = apply_steps_to_row(
-            [TransformColumn("hp", lambda r: r["hp"] + r["armor"])],
-            {"hp": 5, "armor": 2},
-        )
-        assert row == {"hp": 7, "armor": 2}
-
     def test_expressions_have_no_builtins(self):
         with pytest.raises(SchemaError):
             eval_expr("__import__('os')", {"hp": 1})
@@ -163,10 +155,6 @@ class TestSerialization:
         import json
 
         json.dumps(steps_to_records(self.STEPS))  # must not raise
-
-    def test_transform_refuses_to_serialize(self):
-        with pytest.raises(SchemaError):
-            steps_to_records([TransformColumn("hp", lambda r: r["hp"])])
 
     def test_schema_round_trip(self):
         s = ComponentSchema(

@@ -84,7 +84,7 @@ class TestErrorHierarchy:
             errors.ParseError("x"), errors.LexError("x"),
             errors.ContentError, errors.SpatialError, errors.NavMeshError,
             errors.TransactionError, errors.PersistenceError,
-            errors.SQLError, errors.NetError, errors.MigrationError,
+            errors.SQLError, errors.NetError,
             errors.WALError, errors.RecoveryError,
         ]
         for err in leaf_errors:
