@@ -115,7 +115,7 @@ def run_backend_experiment(ticks=4000, seed=3) -> BenchTable:
     )
     backends = [
         ("json_snapshot", SnapshotStore, lambda s: f"{s.bytes_written} B"),
-        ("mini_sql", SQLBackingStore,
+        ("sqlite", SQLBackingStore,
          lambda s: f"{s.engine.statements_executed} stmts"),
         ("paged(4KiB)", PagedBackingStore,
          lambda s: f"{s.pool.pager.physical_writes} page writes"),

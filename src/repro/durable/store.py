@@ -4,8 +4,9 @@
     server crashes."
 
 :class:`DurableStore` is the node-local half of the serving tier.  It
-pairs the :class:`~repro.persistence.sqlbridge.MiniSQL` engine (the
-serving state a unit of work reads and CAS-updates) with a
+pairs the :class:`~repro.persistence.sqlbridge.SQLEngine` (an
+in-memory stdlib ``sqlite3`` database holding the serving state a unit
+of work reads and CAS-updates) with a
 :class:`~repro.persistence.wal.WriteAheadLog` of *redo records* — the
 WAL flush is the durability point, and the SQL tables are merely the
 replayable projection of the log.  Three record kinds flow through it:
@@ -40,7 +41,7 @@ from typing import Any, Callable
 
 from repro.errors import DurableError
 from repro.obs.hub import Observability, resolve_obs
-from repro.persistence.sqlbridge import MiniSQL
+from repro.persistence.sqlbridge import SQLEngine
 from repro.persistence.wal import WriteAheadLog
 
 
@@ -74,7 +75,7 @@ class DurableStore:
         self.wal = WriteAheadLog(group_commit=group_commit).bind_obs(
             self.obs, wal=name
         )
-        self.engine = MiniSQL()
+        self.engine = SQLEngine()
         self._create_tables()
         self.commit_seq = 0
         self.outbox_seq = 0
@@ -227,7 +228,7 @@ class DurableStore:
     def outbox_pending(self) -> int:
         """Undispatched outbox rows (the drain-lag gauge)."""
         rows = self.engine.execute(
-            "SELECT COUNT (*) FROM outbox WHERE dispatched = 0"
+            "SELECT COUNT(*) AS count FROM outbox WHERE dispatched = 0"
         )
         return rows[0]["count"]
 
@@ -308,7 +309,7 @@ class DurableStore:
         :meth:`recover` rebuilds the projection from the durable log.
         """
         lost = self.wal.crash()
-        self.engine = MiniSQL()  # memory is gone
+        self.engine = SQLEngine()  # memory is gone
         self.crashed = True
         return lost
 
@@ -319,7 +320,7 @@ class DurableStore:
         record's offset — rather than serving from a log it cannot
         fully trust.  Returns replay counters.
         """
-        self.engine = MiniSQL()
+        self.engine = SQLEngine()
         self._create_tables()
         self.commit_seq = 0
         self.outbox_seq = 0

@@ -186,7 +186,7 @@ class RecoveryError(PersistenceError):
 
 
 class SQLError(PersistenceError):
-    """The miniature SQL engine rejected a statement."""
+    """The SQL engine rejected a statement."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Persistence tier: WAL, in-memory DB, checkpoint policies, recovery,
-blob codecs, and the mini-SQL backing store.
+blob codecs, and the SQL backing store over stdlib ``sqlite3``.
 
 Schema migration of structured rows lives in :mod:`repro.schema`
 (``world.catalog``); the blob codec here is its lazy-upgrade
@@ -29,9 +29,8 @@ from repro.persistence.pages import (
     Pager,
 )
 from repro.persistence.recovery import RecoveryReport, recover, verify_recovery
-from repro.persistence.sqlbridge import MiniSQL, SQLBackingStore
+from repro.persistence.sqlbridge import SQLBackingStore, SQLEngine
 from repro.persistence.wal import WALRecord, WriteAheadLog
-from repro.persistence.worldbridge import WorldPersistence, recover_world
 
 __all__ = [
     "BlobCodec",
@@ -55,10 +54,8 @@ __all__ = [
     "RecoveryReport",
     "recover",
     "verify_recovery",
-    "MiniSQL",
     "SQLBackingStore",
+    "SQLEngine",
     "WALRecord",
     "WriteAheadLog",
-    "WorldPersistence",
-    "recover_world",
 ]
